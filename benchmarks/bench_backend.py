@@ -1,7 +1,6 @@
 """Backend performance tracking: ``python benchmarks/bench_backend.py``.
 
-Measures, for every registered CPU backend (cupy is skipped here — device
-timing needs different methodology):
+Measures, for both registered CPU backends:
 
 * **attack-suite wall-clock** — the PGD/BIM/MIM grid at the paper's
   Sec. IV-C budgets (40-iteration PGD etc.) against a briefly-trained
@@ -16,28 +15,12 @@ timing needs different methodology):
 
 Results land in ``BENCH_backend.json`` (repo root by default) so the perf
 trajectory is tracked from PR to PR; the ``speedup`` block records
-reference-vs-fast ratios and the ``speedup_compiled`` block records the
-compiled backend's cold-trace and steady-state ratios against the fast
-backend (capture cost and replay payoff are different claims, so they are
-reported separately).
-
-The compiled floor is enforced on the **hot loop**, not the early-stop
-suite: graph capture eliminates per-iteration fixed costs (tape
-construction, closure dispatch, allocator traffic), so its payoff lives
-where those costs dominate — the fixed-shape gradient loop the plan was
-traced for, at a batch size small enough that BLAS/fold kernel time (a
-cost replay shares bit-for-bit with eager, by the parity contract) does
-not drown the eliminated overhead.  The early-stop suite spends most of
-its wall-clock in forward-only success probes and per-sample attack
-bookkeeping that replay by design cannot touch; its compiled ratio is
-reported for honesty but not gated.
+reference-vs-fast ratios.
 
 The script exits non-zero if the fast backend's attack-suite speedup
-falls below the pinned floor (1.3x) or the compiled backend's
-*steady-state* hot-loop speedup over fast falls below its own floor
-(1.5x), so the CI bench lane catches regressions; it also cross-checks
-that every backend measured identical accuracies and byte-identical
-adversarial examples.
+falls below the pinned floor (1.3x), so the CI bench lane catches
+regressions; it also cross-checks that both backends measured identical
+accuracies and byte-identical adversarial examples.
 
 Usage::
 
@@ -63,18 +46,11 @@ from repro.experiments.config import get_config  # noqa: E402
 from repro.models import build_classifier  # noqa: E402
 
 SPEEDUP_FLOOR = 1.3
-#: Steady-state compiled-vs-fast floor on the fixed-shape hot loop:
-#: replaying a captured plan must beat eager pooled execution by at
-#: least this much (see the module docstring for why the hot loop, not
-#: the early-stop suite, is the gated workload).
-COMPILED_STEADY_FLOOR = 1.5
-#: Hot-loop batch size.  Capture/replay eliminates per-iteration fixed
-#: costs; the kernels themselves are bit-for-bit the eager ones, so the
-#: payoff is largest where fixed costs are the biggest slice of an
-#: iteration — small batches.  Large batches are BLAS/fold-bound on both
-#: backends and converge toward 1x.
+#: Hot-loop batch size: small, so per-iteration fixed costs (tape
+#: construction, dispatch, allocation) are a visible slice of each
+#: iteration rather than drowned by BLAS/fold kernel time.
 HOT_LOOP_BATCH = 2
-BACKENDS = ("numpy", "fast", "compiled")
+BACKENDS = ("numpy", "fast")
 
 
 def train_victim(epochs, train_size, seed=0):
@@ -118,15 +94,14 @@ def bench_attack_suite(model, split, eval_size):
 
 
 def bench_hot_loop(model, split, batch, repeats):
-    """Naive fixed-shape PGD/BIM/MIM: the workload plan replay targets.
+    """Naive fixed-shape PGD/BIM/MIM.
 
     With ``early_stop=False`` every iteration of every attack is a
-    same-shape ``logits_and_input_grad`` call — trace once, replay for
-    the rest.  The first ``generate`` per attack is the cold number
-    (includes the capture run); steady state is the best of ``repeats``
-    further runs.  Returns per-attack steady/cold seconds plus a digest
-    of the adversarial batches so the caller can assert byte-identical
-    outputs across backends.
+    same-shape gradient call.  The first ``generate`` per attack is the
+    cold number; steady state is the best of ``repeats`` further runs.
+    Returns per-attack steady/cold seconds plus a digest of the
+    adversarial batches so the caller can assert byte-identical outputs
+    across backends.
     """
     cfg = get_config("fast").dataset("digits")
     pool = cfg.budget.build(fast=False, seed=0, early_stop=False)
@@ -232,42 +207,12 @@ def main(argv=None):
 
     ref = report["per_backend"]["numpy"]
     fast = report["per_backend"]["fast"]
-    compiled = report["per_backend"]["compiled"]
     report["speedup"] = {
         key.replace("_seconds", ""): round(ref[key] / fast[key], 3)
         for key in ("attack_suite_seconds", "hot_loop_total_seconds",
                     "epoch_seconds", "im2col_seconds", "col2im_seconds")
     }
-    # Capture cost vs replay payoff, reported separately: the cold number
-    # includes every trace the run provokes, the steady number is pure
-    # replay over warm plans.  ``hot_loop_steady`` is the gated claim;
-    # the early-stop suite ratios are informational (see docstring).
-    report["speedup_compiled"] = {
-        "hot_loop_steady": round(
-            fast["hot_loop_total_seconds"]
-            / compiled["hot_loop_total_seconds"], 3),
-        "hot_loop_cold": round(
-            sum(fast["hot_loop_cold_seconds"].values())
-            / sum(compiled["hot_loop_cold_seconds"].values()), 3),
-        "hot_loop_steady_vs_numpy": round(
-            ref["hot_loop_total_seconds"]
-            / compiled["hot_loop_total_seconds"], 3),
-        "hot_loop_per_attack_steady": {
-            k: round(fast["hot_loop_seconds"][k]
-                     / compiled["hot_loop_seconds"][k], 3)
-            for k in fast["hot_loop_seconds"]},
-        "attack_suite_steady": round(
-            fast["attack_suite_seconds"]
-            / compiled["attack_suite_seconds"], 3),
-        "attack_suite_cold": round(
-            fast["attack_suite_cold_seconds"]
-            / compiled["attack_suite_cold_seconds"], 3),
-        "attack_suite_steady_vs_numpy": round(
-            ref["attack_suite_seconds"]
-            / compiled["attack_suite_seconds"], 3),
-    }
     report["speedup_floor"] = SPEEDUP_FLOOR
-    report["compiled_steady_floor"] = COMPILED_STEADY_FLOOR
     report["accuracies_identical"] = all(
         accuracies[name] == accuracies["numpy"] for name in BACKENDS)
     report["adversarial_identical"] = all(
@@ -276,8 +221,7 @@ def main(argv=None):
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"speedups {report['speedup']}  "
-          f"compiled {report['speedup_compiled']}  ->  {args.output}")
+    print(f"speedups {report['speedup']}  ->  {args.output}")
 
     failures = []
     if not report["accuracies_identical"]:
@@ -291,11 +235,6 @@ def main(argv=None):
         failures.append(
             f"attack-suite speedup {report['speedup']['attack_suite']} "
             f"below the {SPEEDUP_FLOOR}x floor")
-    steady = report["speedup_compiled"]["hot_loop_steady"]
-    if steady < COMPILED_STEADY_FLOOR:
-        failures.append(
-            f"compiled steady-state hot-loop speedup {steady} over "
-            f"fast below the {COMPILED_STEADY_FLOOR}x floor")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -2,17 +2,14 @@
 
 Not a paper artifact, but the knobs that determine how far the FULL preset
 is from feasible: conv2d forward/backward, a full LeNet training step,
-per-image attack cost, and the fused elementwise chains (the attack
-ascent step and ReLU backward masking) that the fast backend collapses
-into single in-place passes and the compiled backend replays over
-preallocated plan buffers — each measured against its unfused,
-temporary-allocating reference expression.
+per-image attack cost, and the fused attack ascent step that the fast
+backend collapses into a single in-place pass, measured against its
+unfused, temporary-allocating reference expression.
 """
 
 import numpy as np
 import pytest
 
-import repro.backend as backend
 from repro import nn
 from repro.attacks import FGSM, PGD
 from repro.backend.fast import FastNumpyBackend
@@ -78,11 +75,11 @@ def test_pgd_generation(benchmark, lenet, batch):
 
 
 # --------------------------------------------------------------------- #
-# fused elementwise chains
+# fused elementwise chain
 #
-# Both pairs pin the same arithmetic (asserted bit-equal before timing);
+# The pair pins the same arithmetic (asserted bit-equal before timing);
 # the fused variant only changes memory behaviour — one pass over pooled
-# or preallocated buffers instead of a fresh temporary per subexpression.
+# buffers instead of a fresh temporary per subexpression.
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def ascent_operands():
@@ -122,84 +119,3 @@ def test_signed_ascent_fused(benchmark, ascent_operands):
         b.release(out)
 
     benchmark(step)
-
-
-@pytest.fixture(scope="module")
-def relu_operands():
-    rng = derive_rng(4, "bench")
-    shape = (64, 8, 28, 28)
-    x = rng.standard_normal(shape).astype(np.float32)
-    g = rng.standard_normal(shape).astype(np.float32)
-    return x, g
-
-
-def _unfused_relu_backward(x, g):
-    # Eager tape: the mask is rebuilt as a fresh float array and the
-    # multiply allocates the gradient — two temporaries per call.
-    mask = (x > 0).astype(np.float32)
-    return g * mask
-
-
-@pytest.mark.benchmark(group="micro-fused")
-def test_relu_backward_unfused(benchmark, relu_operands):
-    x, g = relu_operands
-    benchmark(lambda: _unfused_relu_backward(x, g))
-
-
-@pytest.mark.benchmark(group="micro-fused")
-def test_relu_backward_fused(benchmark, relu_operands):
-    # The compiled plan's ReLU kernel: the boolean mask, its float cast
-    # and the masked gradient all land in plan-owned buffers.
-    x, g = relu_operands
-    maskb = np.empty(x.shape, np.bool_)
-    mask = np.empty(x.shape, np.float32)
-    out = np.empty(x.shape, np.float32)
-
-    def step():
-        np.greater(x, 0, out=maskb)
-        np.copyto(mask, maskb, casting="unsafe")
-        np.multiply(g, mask, out=out)
-        return out
-
-    np.testing.assert_array_equal(_unfused_relu_backward(x, g), step())
-    benchmark(step)
-
-
-@pytest.fixture(scope="module")
-def small_batch(batch):
-    # The compiled backend's payoff regime: small batches, where the
-    # per-iteration fixed costs it eliminates (tape construction,
-    # dispatch, allocation) are the dominant slice of a gradient call.
-    # Large batches are BLAS-bound and replay converges toward 1x there.
-    x, y = batch
-    return x[:8], y[:8]
-
-
-def _frozen_gradient_bench(benchmark, lenet, small_batch, backend_name):
-    # ``Attack.generate`` freezes parameters for the crafting loop; the
-    # compiled backend only captures frozen graphs, so mirror that here.
-    from repro.attacks.base import logits_and_input_grad
-    x, y = small_batch
-    lenet.eval()
-    frozen = [p for p in lenet.parameters() if p.requires_grad]
-    for p in frozen:
-        p.requires_grad = False
-    try:
-        with backend.use(backend_name):
-            logits_and_input_grad(lenet, x, y)  # warm (traces if compiled)
-            benchmark(lambda: logits_and_input_grad(lenet, x, y))
-    finally:
-        for p in frozen:
-            p.requires_grad = True
-
-
-@pytest.mark.benchmark(group="micro-fused")
-def test_attack_gradient_eager_fast(benchmark, lenet, small_batch):
-    # End-to-end context for the chains above: one eager tape-built
-    # gradient call vs its compiled replay (next test, same shapes).
-    _frozen_gradient_bench(benchmark, lenet, small_batch, "fast")
-
-
-@pytest.mark.benchmark(group="micro-fused")
-def test_attack_gradient_compiled_replay(benchmark, lenet, small_batch):
-    _frozen_gradient_bench(benchmark, lenet, small_batch, "compiled")

@@ -1,12 +1,10 @@
 """The array-backend seam, end to end.
 
 Walks the three ways to pick a backend (global switch, scoped context
-manager, per-run argument), demonstrates that the reference, fast and
-compiled CPU backends produce **bit-identical** results from a single
-forward pass all the way to a trained-and-attacked classifier, measures
-the speedup the fast backend buys on the attack hot path, and shows the
-compiled backend capturing the attack gradient into a replayable plan —
-including the cases where it transparently falls back to eager.
+manager, per-run argument), demonstrates that the reference and fast CPU
+backends produce **bit-identical** results from a single forward pass all
+the way to a trained-and-attacked classifier, and measures the speedup the
+fast backend buys on the attack hot path.
 
 Run from the repo root:
 
@@ -19,7 +17,6 @@ import numpy as np
 
 import repro.backend as backend
 from repro import nn
-from repro.attacks import PGD
 from repro.data import load_split
 from repro.defenses import VanillaTrainer
 from repro.eval.engine import AttackSuite
@@ -61,16 +58,14 @@ def main():
     backend.use("numpy")                    # back to the reference
 
     # 2. Bit-identity across CPU backends ------------------------------- #
-    runs = {name: train_and_attack(name)
-            for name in ("numpy", "fast", "compiled")}
+    runs = {name: train_and_attack(name) for name in ("numpy", "fast")}
     weights_n, acc_n, sec_n = runs["numpy"]
     weights_f, acc_f, sec_f = runs["fast"]
 
-    for name in ("fast", "compiled"):
-        for key in weights_n:
-            np.testing.assert_array_equal(weights_n[key], runs[name][0][key])
-        assert acc_n == runs[name][1]
-    print("trained weights:   bit-identical across numpy/fast/compiled")
+    for key in weights_n:
+        np.testing.assert_array_equal(weights_n[key], weights_f[key])
+    print("trained weights:   bit-identical across numpy/fast")
+    assert acc_n == acc_f
     row = "  ".join(f"{k}={v * 100:5.1f}%" for k, v in acc_n.items())
     print(f"attack accuracies: identical  ({row})")
 
@@ -80,37 +75,7 @@ def main():
     print(f"attack suite:      numpy {sec_n:.2f}s  vs  fast {sec_f:.2f}s  "
           f"({sec_n / sec_f:.2f}x)")
 
-    # 4. Compiled capture and replay ------------------------------------- #
-    # The first gradient call at a new input shape traces the graph into
-    # a static plan; every further same-shape call replays it — no tape,
-    # no dispatch, no allocation.  Ragged batches and data-dependent
-    # attacks (DeepFool, CW) fall back to eager automatically.
-    with backend.use("compiled"):
-        b = backend.active()
-        before = dict(b.stats)
-        split = load_split("digits", 256, 64, seed=SEED)
-        model = build_classifier("digits", width=8, seed=SEED)
-        model.eval()
-        pgd = PGD(eps=0.3, step=0.03, iterations=20, restarts=1,
-                  early_stop=False, seed=SEED)
-
-        start = time.perf_counter()
-        pgd.generate(model, split.test.images[:8], split.test.labels[:8])
-        cold = time.perf_counter() - start          # includes the trace
-        start = time.perf_counter()
-        pgd.generate(model, split.test.images[:8], split.test.labels[:8])
-        steady = time.perf_counter() - start        # pure replay
-
-        # A ragged tail batch has an untraced shape: it runs eagerly the
-        # first time, gets its own plan, and never perturbs the first one.
-        pgd.generate(model, split.test.images[:5], split.test.labels[:5])
-        print(f"\ncompiled PGD:      cold {cold * 1e3:6.1f}ms (traces the "
-              f"graph)  steady {steady * 1e3:6.1f}ms (pure replay)")
-        delta = {k: v - before.get(k, 0) for k, v in b.stats.items()}
-        print(f"compiled stats:    {delta}  (this section: one plan per "
-              f"shape, everything else replayed)")
-
-    # 5. Backend-agnostic user code -------------------------------------- #
+    # 4. Backend-agnostic user code -------------------------------------- #
     # Tensors live on whatever backend is active; ops read identically.
     with backend.use("fast"):
         x = nn.Tensor(np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4),

@@ -4,8 +4,8 @@ Training Defense for Neural Networks* (Liu, Khalil, Khreishah — DSN 2019).
 Top-level layout (see DESIGN.md for the full inventory):
 
 * :mod:`repro.backend` — pluggable array-backend layer (``ArrayOps``
-  protocol; numpy reference, fast CPU, optional cupy) the whole stack
-  dispatches through,
+  protocol; numpy reference and bit-identical fast CPU backend) the
+  whole stack dispatches through,
 * :mod:`repro.nn` — autodiff neural-network substrate over the backend
   seam,
 * :mod:`repro.data` — synthetic dataset substrate + preprocessing module,

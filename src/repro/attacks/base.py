@@ -37,21 +37,7 @@ def input_gradient(model: nn.Module, images: np.ndarray,
 
 def logits_and_input_grad(model: nn.Module, images: np.ndarray,
                           labels: np.ndarray):
-    """Forward logits plus the input gradient (for attacks that need both).
-
-    A backend exposing ``loss_and_input_grad`` (the compiled backend's
-    capture/replay seam) serves the pair from its plan cache when it can —
-    bit-identical to the eager tape by the compiled backend's contract —
-    and signals ``None`` to run the ordinary eager pass here.  The
-    returned arrays may live in plan-owned buffers valid until the next
-    gradient call on the same (model, shape): the attack loops consume
-    them within the iteration.
-    """
-    hook = getattr(_backend.active(), "loss_and_input_grad", None)
-    if hook is not None:
-        result = hook(model, images, labels)
-        if result is not None:
-            return result
+    """Forward logits plus the input gradient (for attacks that need both)."""
     x = nn.Tensor(images, requires_grad=True)
     logits = model(x)
     loss = nn.softmax_cross_entropy(logits, labels)

@@ -2,19 +2,13 @@
 
 The autodiff tensor, the conv kernels, the attacks and the trainers all
 dispatch their array work through the **active backend**, an object
-satisfying the :class:`~repro.backend.base.ArrayOps` protocol.  Four
+satisfying the :class:`~repro.backend.base.ArrayOps` protocol.  Two
 implementations ship:
 
 * ``numpy`` — the reference; bit-identical to the pre-seam code (default),
 * ``fast`` — same numerics, allocation-avoiding (pooled im2col workspaces,
   cached einsum paths, fused in-place optimizer steps, in-place gradient
-  accumulation); see :class:`~repro.backend.fast.FastNumpyBackend`,
-* ``compiled`` — ``fast`` plus graph capture: the attack hot loop's
-  forward/backward is traced once per (model, shape, mode) into a static
-  buffer-reusing plan and replayed with no tape or per-op dispatch,
-  falling back to eager for anything untraceable; see
-  :class:`~repro.backend.compiled.CompiledBackend`,
-* ``cupy`` — GPU execution, auto-registered only when cupy is installed.
+  accumulation); see :class:`~repro.backend.fast.FastNumpyBackend`.
 
 Selection::
 
@@ -37,12 +31,10 @@ equivalence suite (``tests/backend/test_parity.py``) pins ``numpy`` ⇔
 
 from __future__ import annotations
 
-import importlib.util
 import os
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .base import ArrayOps, conv_output_size
-from .compiled import CompiledBackend
 from .fast import FastNumpyBackend
 from .numpy_backend import NumpyBackend
 
@@ -50,7 +42,6 @@ __all__ = [
     "ArrayOps",
     "NumpyBackend",
     "FastNumpyBackend",
-    "CompiledBackend",
     "conv_output_size",
     "register",
     "get_backend",
@@ -95,10 +86,11 @@ def resolve(name: Optional[str], fallback: str = "numpy") -> str:
 
     Provenance metadata travels with artifacts — a checkpoint records the
     backend that produced it — but the process reading the artifact may
-    not have that backend (a ``cupy``-trained checkpoint served on a
-    CPU-only box).  ``resolve`` keeps the recorded name when it is
-    available and otherwise falls back, so callers can pin execution to
-    the producing backend without first probing the registry.
+    not have that backend (a checkpoint recorded under ``cupy`` or
+    ``compiled``, which this build no longer ships).  ``resolve`` keeps
+    the recorded name when it is available and otherwise falls back, so
+    callers can pin execution to the producing backend without first
+    probing the registry.
     """
     if name in _FACTORIES:
         assert name is not None
@@ -144,14 +136,3 @@ class use:
 
 register("numpy", NumpyBackend)
 register("fast", FastNumpyBackend)
-register("compiled", CompiledBackend)
-
-# cupy rides along as a drop-in third backend when (and only when) it is
-# installed; a CPU-only environment never imports it.
-if importlib.util.find_spec("cupy") is not None:  # pragma: no cover
-    try:
-        from .cupy_backend import CupyBackend
-
-        register("cupy", CupyBackend)
-    except Exception:  # pragma: no cover - broken cupy install
-        pass

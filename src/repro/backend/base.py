@@ -5,9 +5,10 @@ a hot path; it talks to the *active backend*, an object satisfying this
 protocol.  The protocol has two halves:
 
 * **the namespace** — ``backend.xp`` is a numpy-compatible array module
-  (``numpy`` itself for the two CPU backends, ``cupy`` for the GPU one).
-  Element-wise math, reductions and shape ops go through it unchanged, so
-  the calling code reads exactly like the numpy it replaced.
+  (``numpy`` itself for both shipped backends; a device backend would
+  plug in a drop-in namespace such as ``cupy``).  Element-wise math,
+  reductions and shape ops go through it unchanged, so the calling code
+  reads exactly like the numpy it replaced.
 * **the capability methods** — operations whose *implementation strategy*
   differs between backends: array creation/transfer, scratch-buffer
   management, the im2col/col2im kernels, tensor-contraction dispatch,
@@ -18,8 +19,7 @@ The reference implementation is
 :class:`~repro.backend.numpy_backend.NumpyBackend`; it is bit-identical to
 the pre-seam code by construction (same expressions, same evaluation
 order).  :class:`~repro.backend.fast.FastNumpyBackend` keeps the numerics
-and changes only the memory behaviour; ``CupyBackend`` swaps the namespace
-for ``cupy`` when it is installed.
+and changes only the memory behaviour.
 
 RNG streams are **always host-side** (``numpy.random.Generator`` seeded via
 SHA-256 of ``(seed, tag)``) on every backend: stochastic draws happen on
@@ -52,7 +52,7 @@ class ArrayOps(Protocol):
     """What a backend must provide.  See the module docstring for the
     namespace/capability split; parameter conventions follow numpy."""
 
-    #: Registry name (``"numpy"``, ``"fast"``, ``"cupy"``).
+    #: Registry name (``"numpy"``, ``"fast"``).
     name: str
 
     @property

@@ -65,9 +65,8 @@ class _BufferPool:
 
     def __init__(self) -> None:
         self._free: Dict[Any, List[np.ndarray]] = {}
-        #: Served from the free list vs. freshly allocated.  A steady-state
-        #: hot loop (e.g. compiled-plan replay) must stop growing
-        #: ``misses`` once warm — pinned by the backend test suite.
+        #: Served from the free list vs. freshly allocated (exported as
+        #: ``repro_backend_pool_{hits,misses}_total``).
         self.hits = 0
         self.misses = 0
 
@@ -114,8 +113,8 @@ class _BufferPool:
             # buffers), so evicting the smallest entry loses nothing,
             # while dropping a big workspace would doom every later
             # large acquire to a fresh allocation — exactly what happens
-            # when compiled plans permanently adopt the big entries and
-            # small per-iteration gradient buffers flood the list.
+            # when an early-stopping attack's active set shrinks and its
+            # small per-iteration buffers flood the list.
             stack[0] = buf
         else:
             return
@@ -161,8 +160,9 @@ class FastNumpyBackend(NumpyBackend):
             self._pool.release(buf if buf.base is None else buf.base)
 
     def pool_stats(self) -> Dict[str, int]:
-        """Free-list hit/miss counters (observability for the steady-state
-        no-allocation guarantee of compiled-plan replay)."""
+        """Free-list hit/miss counters: size-tolerant acquire plus
+        keep-largest eviction let an early-stopping attack's shrinking
+        workspace shapes keep hitting the pool instead of allocating."""
         return {"hits": self._pool.hits, "misses": self._pool.misses}
 
     # ------------------------------------------------------------------ #

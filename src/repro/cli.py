@@ -60,9 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(train, eval-suite, table3, table4): 'numpy' "
                              "is the bit-exact reference, 'fast' the "
                              "allocation-avoiding CPU path with identical "
-                             "seeded results, 'cupy' appears when "
-                             "installed; default: the REPRO_BACKEND "
-                             "environment default")
+                             "seeded results; default: the "
+                             "REPRO_BACKEND environment default")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="cache crafted adversarial batches under DIR "
                              "keyed by (weights, attack config, data); "

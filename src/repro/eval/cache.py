@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 import time
 from typing import Iterator, Optional, Tuple, Union
 
@@ -118,7 +119,9 @@ class _DirectoryLock:
     ``fcntl.flock`` where available (released by the kernel even if the
     holder crashes); elsewhere an ``O_EXCL`` spin with a staleness bound so
     a dead holder cannot wedge the cache forever.  Re-entrant within one
-    instance so journal helpers can compose.
+    thread so journal helpers can compose; threads sharing one instance
+    take turns on an in-process ``RLock`` first, since the depth count
+    and the held fd are per instance, not per thread.
     """
 
     #: A create-exclusive lock older than this is presumed abandoned.
@@ -128,44 +131,60 @@ class _DirectoryLock:
         self.path = path
         self._fd: Optional[int] = None
         self._depth = 0
+        self._mutex = threading.RLock()
 
     def __enter__(self) -> "_DirectoryLock":
-        if self._depth == 0:
-            os.makedirs(os.path.dirname(self.path), exist_ok=True)
-            if fcntl is not None:
-                self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
-                fcntl.flock(self._fd, fcntl.LOCK_EX)
-            else:  # pragma: no cover - non-POSIX
-                while True:
-                    try:
-                        self._fd = os.open(self.path,
-                                           os.O_CREAT | os.O_EXCL | os.O_RDWR)
-                        break
-                    except FileExistsError:
-                        try:
-                            if (time.time() - os.path.getmtime(self.path)
-                                    > self.STALE_SECONDS):
-                                os.unlink(self.path)
-                                continue
-                        except OSError:
-                            pass
-                        time.sleep(0.01)
+        self._mutex.acquire()
+        try:
+            if self._depth == 0:
+                self._acquire_file()
+        except BaseException:
+            self._mutex.release()
+            raise
         self._depth += 1
         return self
 
     def __exit__(self, *exc) -> None:
-        self._depth -= 1
-        if self._depth == 0 and self._fd is not None:
-            if fcntl is not None:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-                os.close(self._fd)
-            else:  # pragma: no cover - non-POSIX
-                os.close(self._fd)
+        try:
+            self._depth -= 1
+            if self._depth == 0 and self._fd is not None:
+                self._release_file()
+        finally:
+            self._mutex.release()
+
+    def _acquire_file(self) -> None:
+        os.makedirs(os.path.dirname(self.path), exist_ok=True)
+        if fcntl is not None:
+            self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+            fcntl.flock(self._fd, fcntl.LOCK_EX)
+            return
+        while True:  # pragma: no cover - non-POSIX
+            try:
+                self._fd = os.open(self.path,
+                                   os.O_CREAT | os.O_EXCL | os.O_RDWR)
+                return
+            except FileExistsError:
                 try:
-                    os.unlink(self.path)
+                    if (time.time() - os.path.getmtime(self.path)
+                            > self.STALE_SECONDS):
+                        os.unlink(self.path)
+                        continue
                 except OSError:
                     pass
-            self._fd = None
+                time.sleep(0.01)
+
+    def _release_file(self) -> None:
+        assert self._fd is not None
+        if fcntl is not None:
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
+            os.close(self._fd)
+        else:  # pragma: no cover - non-POSIX
+            os.close(self._fd)
+            try:
+                os.unlink(self.path)
+            except OSError:
+                pass
+        self._fd = None
 
 
 class AdversarialCache:
@@ -396,11 +415,12 @@ class AdversarialCache:
         """Persist a finished batch under ``key``."""
         os.makedirs(self.root, exist_ok=True)
         # Write-then-rename so a crashed run never leaves a torn entry.
-        # The temp name is per-process so concurrent runs sharing a cache
-        # directory cannot interleave writes into one file; the .npz suffix
-        # keeps np.savez from renaming it.
+        # The temp name is per-process and per-thread so concurrent
+        # writers sharing a cache directory cannot interleave writes into
+        # (or rename away) one file; the .npz suffix keeps np.savez from
+        # renaming it.
         path = self._path(key)
-        tmp = f"{path}.{os.getpid()}.tmp.npz"
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp.npz"
         np.savez(tmp, adv=adv)
         os.replace(tmp, path)
         try:

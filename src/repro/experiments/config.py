@@ -136,10 +136,10 @@ class ExperimentConfig:
     """A full preset: per-dataset configs plus the preset flag.
 
     ``backend`` names the :mod:`repro.backend` implementation the
-    experiment runners activate (``numpy``, ``fast``, or ``cupy`` when
-    installed).  ``None`` — the shipped default — inherits whatever is
-    already active, so the ``REPRO_BACKEND`` environment default and the
-    CLI's ``--backend`` override keep working; pin it with
+    experiment runners activate (``numpy`` or ``fast``).  ``None`` — the
+    shipped default — inherits whatever is already active, so the
+    ``REPRO_BACKEND`` environment default and the CLI's ``--backend``
+    override keep working; pin it with
     ``dataclasses.replace(config, backend="fast")`` to make a preset
     carry its own execution path.
     """

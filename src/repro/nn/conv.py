@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import backend as _backend
 from ..backend import conv_output_size
-from .tensor import _TRACER, Tensor, is_grad_enabled
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = ["conv2d", "max_pool2d", "avg_pool2d", "im2col", "col2im", "conv_output_size"]
 
@@ -113,8 +113,7 @@ def conv2d(
         cols_cell[0] = None
         bk.release(cols)
 
-    op = ("conv2d", (sh, sw, ph, pw)) if _TRACER[0] is not None else None
-    return Tensor._make(out, parents, backward, op=op)
+    return Tensor._make(out, parents, backward)
 
 
 def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor:
@@ -153,8 +152,7 @@ def max_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
         bk.release(gcols)
         x._accumulate(folded, owned=True)
 
-    op = ("maxpool2d", (kh, kw, sh, sw)) if _TRACER[0] is not None else None
-    return Tensor._make(out, (x,), backward, op=op)
+    return Tensor._make(out, (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor:
@@ -177,8 +175,7 @@ def avg_pool2d(x: Tensor, kernel: IntPair = 2, stride: IntPair = None) -> Tensor
         g = g.reshape(n, c * kh * kw, out_h * out_w)
         x._accumulate(bk.col2im(g, x.shape, kh, kw, sh, sw, 0, 0), owned=True)
 
-    op = ("avgpool2d", (kh, kw, sh, sw)) if _TRACER[0] is not None else None
-    return Tensor._make(out, (x,), backward, op=op)
+    return Tensor._make(out, (x,), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

@@ -18,7 +18,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .. import backend as _backend
-from .tensor import _TRACER, Tensor, as_tensor
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "relu",
@@ -49,7 +49,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(grad) -> None:
         x._accumulate(grad * mask, owned=True)
 
-    return Tensor._make(out_data, (x,), backward, op="relu")
+    return Tensor._make(out_data, (x,), backward)
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
@@ -58,13 +58,10 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     scale = mask + negative_slope * (1.0 - mask)
     out_data = x.data * scale
 
-    op = ("leaky_relu", (negative_slope,)) if _TRACER[0] is not None \
-        else None
-
     def backward(grad) -> None:
         x._accumulate(grad * scale, owned=True)
 
-    return Tensor._make(out_data, (x,), backward, op=op)
+    return Tensor._make(out_data, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -74,7 +71,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def backward(grad) -> None:
         x._accumulate(grad * out_data * (1.0 - out_data), owned=True)
 
-    return Tensor._make(out_data, (x,), backward, op="sigmoid")
+    return Tensor._make(out_data, (x,), backward)
 
 
 def _stable_sigmoid(z):
@@ -93,7 +90,7 @@ def tanh(x: Tensor) -> Tensor:
     def backward(grad) -> None:
         x._accumulate(grad * (1.0 - out_data ** 2), owned=True)
 
-    return Tensor._make(out_data, (x,), backward, op="tanh")
+    return Tensor._make(out_data, (x,), backward)
 
 
 def exp(x: Tensor) -> Tensor:

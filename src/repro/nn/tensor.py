@@ -32,6 +32,7 @@ to *inputs*, so any tensor — not only parameters — may set
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,35 +43,35 @@ __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-_GRAD_ENABLED = [True]
 
-#: Graph-capture hook (see :mod:`repro.backend.compiled`).  When a tracer
-#: is installed, every op created through :meth:`Tensor._make` is reported
-#: as ``tracer.record(out, parents, op)``, where ``op`` is a static
-#: descriptor (a string, or ``(name, attrs)`` for parameterized ops) that a
-#: plan compiler can replay without the tape.  ``None`` marks an op the
-#: compiler must treat as untraceable.  The hook is observation-only:
-#: eager execution, the tape and every numeric result are unchanged
-#: whether or not a tracer is installed.
-_TRACER: List[Optional[object]] = [None]
+class _GradMode(threading.local):
+    """Per-thread grad mode, as in ``torch``.  Serving threads run their
+    forwards under :class:`no_grad` while other threads train; a shared
+    flag would let one thread switch off another's tape, and two
+    interleaved save/restore pairs would leave it off for good."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
     """Context manager disabling graph construction (inference / attacks'
-    inner bookkeeping).  Mirrors ``torch.no_grad``."""
+    inner bookkeeping) in the calling thread.  Mirrors ``torch.no_grad``."""
 
     def __enter__(self) -> "no_grad":
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc) -> None:
-        _GRAD_ENABLED[0] = self._prev
+        _GRAD_MODE.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
     """Return whether new ops will be recorded on the autodiff tape."""
-    return _GRAD_ENABLED[0]
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad, shape: Tuple[int, ...]):
@@ -185,23 +186,14 @@ class Tensor:
         data,
         parents: Sequence["Tensor"],
         backward: Callable,
-        op=None,
     ) -> "Tensor":
         """Create the child node of an op, recording the tape only when
-        gradients are enabled and at least one parent needs them.
-
-        ``op`` is the op's static replay descriptor, consumed only by an
-        installed graph tracer (``_TRACER``); it never affects eager
-        execution.
-        """
-        needs = _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
+        gradients are enabled and at least one parent needs them."""
+        needs = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs)
         if needs:
             out._parents = tuple(parents)
             out._backward = backward
-        tracer = _TRACER[0]
-        if tracer is not None:
-            tracer.record(out, tuple(parents), op)
         return out
 
     def _accumulate(self, grad, owned: bool = False) -> None:
@@ -272,7 +264,7 @@ class Tensor:
             self._accumulate(grad)
             other._accumulate(grad)
 
-        return Tensor._make(out_data, (self, other), backward, op="add")
+        return Tensor._make(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -280,7 +272,7 @@ class Tensor:
         def backward(grad) -> None:
             self._accumulate(-grad, owned=True)
 
-        return Tensor._make(-self.data, (self,), backward, op="neg")
+        return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
@@ -290,7 +282,7 @@ class Tensor:
             self._accumulate(grad)
             other._accumulate(-grad, owned=True)
 
-        return Tensor._make(out_data, (self, other), backward, op="sub")
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other).__sub__(self)
@@ -303,7 +295,7 @@ class Tensor:
             self._accumulate(grad * other.data, owned=True)
             other._accumulate(grad * self.data, owned=True)
 
-        return Tensor._make(out_data, (self, other), backward, op="mul")
+        return Tensor._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -315,7 +307,7 @@ class Tensor:
             self._accumulate(grad / other.data, owned=True)
             other._accumulate(-grad * self.data / (other.data ** 2), owned=True)
 
-        return Tensor._make(out_data, (self, other), backward, op="div")
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other).__truediv__(self)
@@ -344,7 +336,7 @@ class Tensor:
                 other._accumulate(xp.swapaxes(self.data, -1, -2) @ grad,
                                   owned=True)
 
-        return Tensor._make(out_data, (self, other), backward, op="matmul")
+        return Tensor._make(out_data, (self, other), backward)
 
     # ------------------------------------------------------------------ #
     # comparisons (no gradient)
@@ -374,7 +366,7 @@ class Tensor:
             # A reshape view of the child's gradient slot — not owned.
             self._accumulate(grad.reshape(original))
 
-        return Tensor._make(out_data, (self,), backward, op="reshape")
+        return Tensor._make(out_data, (self,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -422,8 +414,7 @@ class Tensor:
             # A broadcast view — non-writeable, never owned.
             self._accumulate(xp.broadcast_to(g, self.data.shape))
 
-        op = ("sum", (axis, keepdims)) if _TRACER[0] is not None else None
-        return Tensor._make(out_data, (self,), backward, op=op)
+        return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:

@@ -11,8 +11,8 @@ Design constraints (ISSUE 9):
 
 * **Scrape-time collection.**  Subsystems that already keep their own
   counters under their own lock (``ServerStats``, ``HttpStats``, the
-  caches, the compiled-plan cache) do not double-count into registry
-  instruments on the hot path.  Instead they register a *collector* — a
+  caches) do not double-count into registry instruments on the hot
+  path.  Instead they register a *collector* — a
   weakly-referenced owner plus an unbound snapshot function — and the
   registry calls it at scrape time.  Each collector reads under its
   owner's lock, so every scrape sees a consistent per-subsystem snapshot

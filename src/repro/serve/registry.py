@@ -96,8 +96,8 @@ class ModelRegistry:
         the classifier — plus the discriminator for GanDef checkpoints —
         for serving.  The producing backend recorded in the archive is
         pinned on the entry (falling back to the reference backend when
-        it is not registered here, e.g. a ``cupy`` checkpoint on a
-        CPU-only box); an explicit ``backend`` argument overrides the
+        it is not registered here, e.g. a checkpoint recorded under a
+        retired backend); an explicit ``backend`` argument overrides the
         recorded one (the CLI's ``--backend``).
 
         ``replace`` swaps an existing registration of the same name for

@@ -7,8 +7,7 @@ train/eval mode survives even a crashing ``_generate``.
 
 The whole module runs once per registered array backend (the autouse
 fixture below): the invariants are properties of the attack *contract*, so
-they must hold identically on the reference backend, the fast CPU backend,
-and cupy when installed.
+they must hold identically on the reference and the fast CPU backend.
 """
 
 import numpy as np

@@ -1,8 +1,7 @@
-"""Cross-backend equivalence: NumpyBackend ⇔ FastNumpyBackend ⇔ CompiledBackend.
+"""Cross-backend equivalence: NumpyBackend ⇔ FastNumpyBackend.
 
-The fast backend claims *same numerics, different memory behaviour*; the
-compiled backend claims *same numerics, captured once and replayed*.  This
-suite pins both claims at every level of the stack:
+The fast backend claims *same numerics, different memory behaviour*.  This
+suite pins that claim at every level of the stack:
 
 * gradcheck (autodiff gradients vs numeric derivatives) under every
   registered backend,
@@ -11,10 +10,6 @@ suite pins both claims at every level of the stack:
 * bit-identical adversarial batches for every attack family,
 * identical seeded Table 3-grid accuracies through the evaluation engine
   (the @slow capstone).
-
-``cupy``, when registered, is exercised by the gradcheck/invariant layers
-only — device rounding may legitimately differ in the last bit, so the
-bitwise layers pin the two CPU backends.
 """
 
 import numpy as np
@@ -26,15 +21,12 @@ from repro.attacks import BIM, FGSM, MIM, PGD, CarliniWagner, DeepFool
 from repro.nn.gradcheck import check_gradient
 from tests.conftest import TinyNet, make_blobs_dataset
 
-CPU_BACKENDS = ("numpy", "fast", "compiled")
-
-
-def _registered():
-    return backend.available_backends()
+CPU_BACKENDS = backend.available_backends()
 
 
 @pytest.fixture(params=CPU_BACKENDS)
-def cpu_backend(request):
+def any_backend(request):
+    """Activate each registered backend in turn."""
     with backend.use(request.param):
         yield request.param
 
@@ -59,14 +51,6 @@ def _train_briefly(backend_name, steps=6, optimizer="adam"):
             loss.backward()
             opt.step()
         return model
-
-
-@pytest.fixture(params=list(backend.available_backends()))
-def any_backend(request):
-    """Activate each registered backend in turn (cupy rides along when
-    installed)."""
-    with backend.use(request.param):
-        yield request.param
 
 
 class TestGradcheckAcrossBackends:

@@ -1,5 +1,7 @@
 """Adversarial cache correctness: bit-identical replay, key invalidation."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -342,3 +344,34 @@ class TestStorageHygiene:
         AdversarialCache(root).get_or_generate(ATTACK, model, x, y)
         leftovers = [f for f in root.iterdir() if ".tmp" in f.name]
         assert leftovers == []
+
+    def test_same_key_stores_from_two_threads_never_collide(self, tmp_path):
+        # Two instances over one directory (two engines in one process)
+        # storing the same key from two threads: a per-pid temp name is
+        # shared by both, so one thread's rename yanks the other's file.
+        root = tmp_path / "adv"
+        caches = [AdversarialCache(root, keep_in_memory=False)
+                  for _ in range(2)]
+        adv = np.linspace(-1, 1, 64, dtype=np.float32).reshape(4, 16)
+        key = "0" * 64
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def worker(cache):
+            try:
+                barrier.wait()
+                for _ in range(100):
+                    cache.store(key, adv)
+            except Exception as error:  # surfaced to the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(c,), daemon=True)
+                   for c in caches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        np.testing.assert_array_equal(caches[0].load(key), adv)
+        assert [f for f in root.iterdir() if ".tmp" in f.name] == []

@@ -22,7 +22,7 @@ from repro import nn
 from repro.nn import functional as F
 
 
-@pytest.fixture(params=["numpy", "fast"], autouse=True)
+@pytest.fixture(params=backend.available_backends(), autouse=True)
 def each_cpu_backend(request):
     with backend.use(request.param):
         yield request.param

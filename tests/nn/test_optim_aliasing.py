@@ -16,7 +16,7 @@ import pytest
 from repro import backend, nn
 from repro.nn.modules import Parameter
 
-BACKENDS = ["numpy", "fast", "compiled"]
+BACKENDS = backend.available_backends()
 
 CONFIGS = [
     ("sgd", dict(momentum=0.0, weight_decay=0.0)),

@@ -1,5 +1,7 @@
 """Autodiff correctness for the core tensor ops."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,32 @@ class TestBackward:
         with nn.no_grad():
             out = x * 2
         assert not out.requires_grad
+        assert nn.is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        # A serving thread's no_grad must not switch off this thread's
+        # tape, and its exit inside this thread's no_grad must not leave
+        # grad mode off once both have exited.
+        entered, release = threading.Event(), threading.Event()
+
+        def serve():
+            with nn.no_grad():
+                entered.set()
+                release.wait(30.0)
+
+        worker = threading.Thread(target=serve, daemon=True)
+        worker.start()
+        try:
+            assert entered.wait(30.0)
+            x = Tensor([1.0], requires_grad=True)
+            assert (x * 2).requires_grad
+            with nn.no_grad():
+                release.set()
+                worker.join(30.0)
+        finally:
+            release.set()
+            worker.join(30.0)
+        assert not worker.is_alive()
         assert nn.is_grad_enabled()
 
 

@@ -10,12 +10,13 @@ accounting invariant ``hits + misses == lookups``.
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.serve.batcher import Prediction
-from repro.serve.cache import PredictionCache
+from repro.serve.cache import DiskPredictionCache, PredictionCache
 
 
 def make_examples(n, seed=0):
@@ -125,3 +126,55 @@ class TestThreadedCounters:
         clean = cache.lookup("fp", example[None])[0]
         np.testing.assert_array_equal(
             clean.logits, prediction_for(3).logits)
+
+
+class TestSharedDiskCacheThreads:
+    """One ``DiskPredictionCache`` instance pumped by several threads.
+
+    Every store publishes and journals under the cache's directory lock.
+    The lock's depth count and held fd are per instance, so without
+    in-process serialization two threads entering at once both open an
+    fd, one overwrites the other, and the first fd's flock is never
+    released — wedging the directory for every process sharing it.
+    Threads are daemons joined against a deadline, so a wedge fails
+    instead of hanging the suite.
+    """
+
+    THREADS = 4
+    ROUNDS = 50
+    EXAMPLES = 8
+    DEADLINE_S = 30.0
+
+    def test_threads_sharing_one_instance_never_wedge_the_lock(
+            self, tmp_path, fast_thread_switching):
+        cache = DiskPredictionCache(tmp_path / "preds", max_entries=None)
+        examples = make_examples(self.EXAMPLES, seed=2)
+        barrier = threading.Barrier(self.THREADS)
+        errors = []
+
+        def worker():
+            try:
+                barrier.wait()
+                for _ in range(self.ROUNDS):
+                    for i, example in enumerate(examples):
+                        cache.store("fp", example, prediction_for(i))
+            except Exception as error:  # surfaced to the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, daemon=True)
+                   for _ in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + self.DEADLINE_S
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+
+        assert not any(t.is_alive() for t in threads), \
+            "threads still blocked on the directory lock"
+        assert errors == []
+        journal = (tmp_path / "preds" / cache.JOURNAL_NAME).read_text()
+        assert len(journal.splitlines()) == \
+            self.THREADS * self.ROUNDS * self.EXAMPLES
+        served = cache.lookup("fp", examples)
+        assert [p.label for p in served] == \
+            [prediction_for(i).label for i in range(self.EXAMPLES)]

@@ -23,6 +23,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table3", "--preset", "huge"])
 
+    def test_backend_choices_enforced(self):
+        args = build_parser().parse_args(["table3", "--backend", "fast"])
+        assert args.backend == "fast"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table3", "--backend", "cupy"])
+
     def test_eval_suite_options(self):
         args = build_parser().parse_args(
             ["eval-suite", "--defense", "pgd-adv", "--attacks", "fgsm,pgd",
