@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..utils.threads import pin_blas_threads
 from .base import ArrayOps, conv_output_size
 from .fast import FastNumpyBackend
 from .numpy_backend import NumpyBackend
@@ -72,11 +73,19 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def get_backend(name: str) -> ArrayOps:
-    """The (cached) backend instance registered under ``name``."""
+    """The (cached) backend instance registered under ``name``.
+
+    Building the process's first instance pins its BLAS to one thread
+    (:func:`repro.utils.threads.pin_blas_threads`): every computation
+    goes through a backend, so this covers the parent, each spawn-pool
+    worker and each serving process before their first contraction.
+    """
     if name not in _FACTORIES:
         raise KeyError(
             f"unknown backend {name!r}; choose from {sorted(_FACTORIES)}")
     if name not in _INSTANCES:
+        if not _INSTANCES:
+            pin_blas_threads()
         _INSTANCES[name] = _FACTORIES[name]()
     return _INSTANCES[name]
 

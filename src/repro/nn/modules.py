@@ -9,6 +9,7 @@ and initializations are reproducible per experiment.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,32 +164,52 @@ class inference_mode:
     ``Module.train()``/``eval()`` flip every submodule uniformly, so the
     usual save-one-flag-and-restore dance loses heterogeneous states (a
     model whose dropout was deliberately frozen would come back fully in
-    train mode).  This context manager snapshots **every** submodule's
-    ``_training`` flag and restores each one individually — which is what
-    lets a serving path or an evaluation borrow a *shared* model without
-    permanently flipping its mode, even when the body raises.
+    train mode).  This context manager restores **every** submodule's
+    ``_training`` flag individually — which is what lets a serving path
+    or an evaluation borrow a *shared* model without permanently flipping
+    its mode, even when the body raises.
+
+    Contexts on one model may overlap in any order (two server threads
+    sharing a model): each submodule keeps an enter count under a lock.
+    The first enter saves its flag and sets eval; the last exit restores
+    the flag, so no exit flips a module back while another context is
+    still inside.
 
         with nn.inference_mode(model):
             logits = model(x)
     """
 
+    #: submodule -> [open contexts, flag saved by the first of them]
+    _open: Dict[Module, list] = {}
+    _lock = threading.Lock()
+
     def __init__(self, *modules: Module) -> None:
         if not modules:
             raise ValueError("inference_mode needs at least one module")
         self._modules = modules
-        self._saved: List[Tuple[Module, bool]] = []
+        self._entered: List[Module] = []
 
     def __enter__(self):
-        self._saved = [(m, m._training)
-                       for mod in self._modules for m in mod.modules()]
-        for mod in self._modules:
-            mod.eval()
+        entered = [m for mod in self._modules for m in mod.modules()]
+        with self._lock:
+            for module in entered:
+                state = self._open.get(module)
+                if state is None:
+                    state = self._open[module] = [0, module._training]
+                    module._training = False
+                state[0] += 1
+        self._entered = entered
         return self._modules[0] if len(self._modules) == 1 else self._modules
 
     def __exit__(self, *exc) -> None:
-        for module, flag in self._saved:
-            module._training = flag
-        self._saved = []
+        with self._lock:
+            for module in self._entered:
+                state = self._open[module]
+                state[0] -= 1
+                if state[0] == 0:
+                    module._training = state[1]
+                    del self._open[module]
+        self._entered = []
 
 
 class Dense(Module):

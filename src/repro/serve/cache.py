@@ -34,6 +34,7 @@ import hashlib
 import json
 import os
 import threading
+import zipfile
 from typing import List, Optional, Union
 
 import numpy as np
@@ -43,6 +44,9 @@ from ..eval.cache import _DirectoryLock, fingerprint_array
 from .batcher import Prediction
 
 __all__ = ["PredictionCache", "DiskPredictionCache"]
+
+#: What ``np.load`` raises on a truncated, corrupt or hand-edited archive.
+_TORN_ERRORS = (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile)
 
 
 def _hit_ratio(values):
@@ -329,12 +333,17 @@ class DiskPredictionCache:
                     score=float(archive["score"]),
                     flagged=bool(archive["flagged"]),
                     from_cache=True)
-        except Exception:
+        except _TORN_ERRORS:
             # Torn or hand-edited entry: drop it, count a miss.
             try:
                 os.remove(path)
             except OSError:
                 pass
+            return None
+        except Exception:
+            # Not the file's fault (on CPython 3.11, concurrent np.load
+            # can raise SystemError parsing a sound header): count a
+            # miss and keep the entry.
             return None
 
     def store(self, model_fingerprint: str, example: np.ndarray,

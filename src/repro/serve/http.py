@@ -63,6 +63,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
 import numpy as np
 
 from .. import obs
+from ..utils import threads
 from .server import Server
 
 __all__ = ["ApiKeyAuth", "TokenBucket", "RateLimiter",
@@ -489,7 +490,7 @@ class HttpFrontend:
 
     def _collect_metrics(self) -> List[obs.Sample]:
         """Scrape-time collector: one locked :class:`HttpStats` snapshot
-        plus the live in-flight gauge."""
+        plus the live in-flight, BLAS-thread and usable-CPU gauges."""
         s = self.stats.summary()
         samples = [
             obs.Sample.make("repro_http_requests_total", "counter",
@@ -522,6 +523,13 @@ class HttpFrontend:
             obs.Sample.make("repro_http_inflight_examples", "gauge",
                             float(self.admission.inflight),
                             help="admitted-but-unanswered examples"),
+            obs.Sample.make("repro_blas_threads", "gauge",
+                            float(threads.blas_threads() or 0),
+                            help="BLAS threads in this process "
+                                 "(0 when the BLAS reports none)"),
+            obs.Sample.make("repro_usable_cpus", "gauge",
+                            float(threads.usable_cpus()),
+                            help="CPUs this process may run on"),
         ]
         for reason in self._REJECT_REASONS:
             samples.append(obs.Sample.make(

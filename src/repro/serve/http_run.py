@@ -50,6 +50,8 @@ REQUIRED_METRIC_SERIES = (
     "repro_serve_pending_examples",
     "repro_serve_batch_size",
     "repro_serve_request_latency_seconds",
+    "repro_blas_threads",
+    "repro_usable_cpus",
 )
 
 

@@ -1,5 +1,8 @@
 """nn.inference_mode: exact per-module mode snapshot/restore."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -78,4 +81,46 @@ def test_nested_contexts():
         with nn.inference_mode(net):
             assert not any(flags(net))
         assert not any(flags(net))     # inner restore: still all-eval
+    assert all(flags(net))
+
+
+def test_interleaved_contexts_on_one_model():
+    """Two server threads sharing a model: A enters, B enters, A exits,
+    B exits.  A's exit must not flip the model back while B is inside,
+    and B's exit must restore train mode."""
+    net = small_net().train()
+    a, b = nn.inference_mode(net), nn.inference_mode(net)
+    a.__enter__()
+    b.__enter__()
+    a.__exit__(None, None, None)
+    assert not any(flags(net))         # B is still inside
+    b.__exit__(None, None, None)
+    assert all(flags(net))             # the last exit restores
+
+
+def test_threads_sharing_a_model_stress():
+    """More threads than cores enter and leave contexts on one model
+    with a short switch interval: every thread inside sees eval mode,
+    and the model ends in train mode."""
+    net = small_net().train()
+    saw_train = []
+
+    def worker():
+        for _ in range(200):
+            with nn.inference_mode(net):
+                if any(flags(net)):
+                    saw_train.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert not saw_train
     assert all(flags(net))

@@ -18,6 +18,7 @@ from repro.serve import (
     run_http_load,
 )
 from repro.serve.http_run import REQUIRED_METRIC_SERIES
+from repro.utils import threads
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,9 @@ def test_metrics_endpoint_serves_required_series(split):
     assert values["repro_http_requests_total"] >= 20
     assert values["repro_http_served_requests_total"] == 20
     assert values["repro_serve_requests_total"] == 20
+    # process thread configuration, read at scrape time
+    assert values["repro_blas_threads"] == (threads.blas_threads() or 0)
+    assert values["repro_usable_cpus"] == threads.usable_cpus()
     # gate + prediction-path coverage demanded by the acceptance list
     assert "repro_serve_gate_examples_total" in text
     assert "repro_serve_batch_size_bucket" in text

@@ -111,6 +111,31 @@ def test_disk_cache_tolerates_torn_entries_and_journal(tmp_path):
     cache._evict_over_cap()
 
 
+def test_disk_cache_keeps_entries_on_non_torn_errors(tmp_path,
+                                                    monkeypatch):
+    """An error a sound file can raise (concurrent ``np.load`` on
+    CPython 3.11 sometimes fails parsing the ``.npy`` header with
+    SystemError) is a miss, not a torn entry to delete."""
+    cache = DiskPredictionCache(tmp_path)
+    x = example()
+    cache.store("fp", x, make_prediction())
+    real_load = np.load
+    calls = []
+
+    def flaky_load(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise SystemError("AST constructor recursion depth mismatch")
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(np, "load", flaky_load)
+    (miss,) = cache.lookup("fp", x[None])
+    assert miss is None
+    assert os.path.exists(cache._path(cache.key("fp", x)))
+    (hit,) = cache.lookup("fp", x[None])
+    assert hit is not None and hit.from_cache
+
+
 def test_disk_cache_journal_compaction(tmp_path):
     cache = DiskPredictionCache(tmp_path, max_entries=4)
     cache.COMPACT_THRESHOLD = 8

@@ -14,10 +14,12 @@ an external pool — the ``repro train`` wiring).
 import numpy as np
 import pytest
 
+from repro.data import load_split
 from repro.defenses.clp import CLPTrainer
 from repro.defenses.cls import CLSTrainer
 from repro.defenses.gandef import ZKGanDefTrainer
 from repro.defenses.vanilla import VanillaTrainer
+from repro.models import build_classifier
 from repro.train import Checkpointer
 from repro.train.parallel import ParallelTrainEngine
 from repro.utils.pool import SpawnPool
@@ -102,6 +104,29 @@ def test_bit_identity_across_worker_counts(kind, pool2, pool4):
         label = f"{kind} @ {pool.workers} workers"
         assert got_losses == base_losses, label
         assert_identical(base_fp, got_fp, label)
+
+
+def train_lenet(workers, pool=None):
+    """A few steps of a digits LeNet (width 8: a 784->128 dense layer)."""
+    data = load_split("digits", 64, 16, seed=3).train
+    trainer = VanillaTrainer(build_classifier("digits", width=8, seed=0),
+                             epochs=1, batch_size=32, lr=1e-3, seed=0)
+    engine = ParallelTrainEngine(trainer, workers=workers, shard_size=16,
+                                 pool=pool).attach()
+    try:
+        trainer.fit(data)
+    finally:
+        engine.close()
+    return {name: p.data.tobytes()
+            for name, p in trainer.model.named_parameters()}
+
+
+def test_bit_identity_where_blas_threads(pool2):
+    """TinyNet's contractions are too small for OpenBLAS to thread, so
+    they cannot tell a constant thread count from one that depends on
+    the worker count.  LeNet's ``(16, 784) @ (784, 128)`` can: OpenBLAS
+    returns different bits at one and two threads for it."""
+    assert train_lenet(workers=2, pool=pool2) == train_lenet(workers=1)
 
 
 def test_kill_and_resume_across_worker_count_change(pool2, pool4,
