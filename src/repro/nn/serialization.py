@@ -9,11 +9,12 @@ resumable checkpoint) should be.
 from __future__ import annotations
 
 import os
-import tempfile
+from functools import partial
 from typing import Dict, Union
 
 import numpy as np
 
+from ..utils.store import temp_file
 from .modules import Module
 
 __all__ = ["atomic_savez", "save_state", "load_state"]
@@ -29,17 +30,8 @@ def atomic_savez(path: Union[str, os.PathLike],
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        # Hand savez the open file object: with a *name* it would append
-        # ".npz" to the temp path and the replace below would miss it.
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **arrays)
+    with temp_file(directory, partial(np.savez, **arrays)) as tmp:
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
     return path
 
 

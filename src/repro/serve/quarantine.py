@@ -11,11 +11,11 @@ round anchors the discriminator on.  Two pieces live here:
   bitwise-identical to before this seam existed: the hook is a single
   ``is not None`` guard, the same enablement contract the tracer uses.
 * :class:`QuarantineStore` — the durable sink.  One directory shared
-  by every server process (the ``SO_REUSEPORT`` deployment), using the
-  multi-process discipline ``eval.cache``/``DiskPredictionCache``
-  proved out: entries published by atomic write-then-rename with
-  per-(pid, thread) temp names, first-store-wins under the shared
-  directory lock, and an append-only JSONL journal (torn-line
+  by every server process (the ``SO_REUSEPORT`` deployment), kept by
+  the :class:`~repro.utils.store.DirectoryStore` protocol that
+  ``eval.cache`` and ``DiskPredictionCache`` also use: entries
+  published by atomic write-then-rename, first-store-wins under the
+  shared directory lock, and an append-only JSONL journal (torn-line
   tolerant) recording arrival provenance.
 
 Entries are **content-addressed** (SHA-256 of the example bytes), so
@@ -29,7 +29,6 @@ order or process interleaving, which is what makes the fine-tune step
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 from typing import Dict, List, Optional, Tuple, Union
@@ -37,7 +36,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..eval.cache import _DirectoryLock, fingerprint_array
+from ..eval.cache import fingerprint_array
+from ..utils.store import EXISTS, PUBLISHED, DirectoryStore
 
 __all__ = ["FlagSink", "QuarantineStore"]
 
@@ -59,12 +59,13 @@ class FlagSink:
 class QuarantineStore(FlagSink):
     """Directory-backed, multi-process store of flagged examples.
 
-    Layout mirrors :class:`~repro.serve.cache.DiskPredictionCache`: one
-    ``<sha256>.npz`` per example under ``root`` (image + gate score),
-    a shared ``quarantine.lock`` directory lock, and an append-only
-    ``quarantine.journal`` recording ``{"key", "model", "score"}`` per
-    store — the provenance trail :meth:`manifest` replays (tolerating
-    the torn tail a crashed append leaves).
+    A :class:`~repro.utils.store.DirectoryStore` (the layout
+    :class:`~repro.serve.cache.DiskPredictionCache` uses): one
+    ``<sha256>.npz`` per example under ``root`` (image + gate score), a
+    shared ``quarantine.lock`` directory lock, and an append-only
+    ``quarantine.journal`` whose publication records carry ``{"key",
+    "size", "model", "score"}`` — the provenance trail :meth:`manifest`
+    returns.
 
     ``max_entries`` caps the directory; at capacity new examples are
     **dropped and counted** (not LRU-evicted — quarantine is evidence,
@@ -75,7 +76,6 @@ class QuarantineStore(FlagSink):
 
     JOURNAL_NAME = "quarantine.journal"
     LOCK_NAME = "quarantine.lock"
-    SUFFIX = ".npz"
 
     def __init__(self, root: Union[str, os.PathLike],
                  max_entries: Optional[int] = 65536) -> None:
@@ -84,8 +84,8 @@ class QuarantineStore(FlagSink):
                 f"max_entries must be >= 1 when given, got {max_entries}")
         self.root = os.fspath(root)
         self.max_entries = max_entries
-        self._dirlock = _DirectoryLock(
-            os.path.join(self.root, self.LOCK_NAME))
+        self._store = DirectoryStore(self.root, self.JOURNAL_NAME,
+                                     self.LOCK_NAME)
         self._lock = threading.Lock()   # in-process counter safety
         self.stored = 0
         self.duplicates = 0
@@ -107,7 +107,7 @@ class QuarantineStore(FlagSink):
                             "counter", float(dropped),
                             help="flagged examples dropped at capacity"),
             obs.Sample.make("repro_serve_quarantine_entries",
-                            "gauge", float(len(self._live_keys())),
+                            "gauge", float(len(self._store)),
                             help="live quarantined examples"),
         ]
 
@@ -115,46 +115,11 @@ class QuarantineStore(FlagSink):
         """Constructor kwargs re-opening this store in another process."""
         return {"root": self.root, "max_entries": self.max_entries}
 
-    # ------------------------------------------------------------------ #
-    # keys / paths
-    # ------------------------------------------------------------------ #
     @staticmethod
     def key(example: np.ndarray) -> str:
         h = hashlib.sha256()
         h.update(fingerprint_array(np.asarray(example)).encode("utf-8"))
         return h.hexdigest()
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}{self.SUFFIX}")
-
-    @property
-    def _journal_path(self) -> str:
-        return os.path.join(self.root, self.JOURNAL_NAME)
-
-    def _journal_append(self, record: dict) -> None:
-        with self._dirlock:
-            with open(self._journal_path, "a") as handle:
-                handle.write(json.dumps(record) + "\n")
-
-    def _live_keys(self) -> set:
-        if not os.path.isdir(self.root):
-            return set()
-        return {f[:-len(self.SUFFIX)] for f in os.listdir(self.root)
-                if f.endswith(self.SUFFIX)
-                and not f.endswith(f".tmp{self.SUFFIX}")}
-
-    def _journal_records(self):
-        try:
-            with open(self._journal_path, "r") as handle:
-                for line in handle:
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue        # torn tail from a crashed append
-                    if isinstance(record, dict) and "key" in record:
-                        yield record
-        except OSError:
-            return
 
     # ------------------------------------------------------------------ #
     # the FlagSink surface
@@ -170,40 +135,20 @@ class QuarantineStore(FlagSink):
     def store(self, example: np.ndarray, score: float,
               model_name: str = "") -> bool:
         """Quarantine one example; True when it was newly retained."""
-        os.makedirs(self.root, exist_ok=True)
-        key = self.key(example)
-        path = self._path(key)
-        if os.path.exists(path):
-            with self._lock:
-                self.duplicates += 1
-            return False
-        # Unique per (process, thread): pump threads of two servers in
-        # one process must not collide on the temp name.
-        tmp = (f"{path}.{os.getpid()}.{threading.get_ident()}"
-               f".tmp{self.SUFFIX}")
-        np.savez(tmp, image=np.asarray(example, dtype=np.float32),
-                 score=np.float64(score))
-        with self._dirlock:
-            # Publication decisions happen under the lock: a concurrent
-            # worker that published this key keeps its entry, and the
-            # capacity check sees every worker's files.
-            if os.path.exists(path):
-                os.remove(tmp)
-                with self._lock:
-                    self.duplicates += 1
-                return False
-            if self.max_entries is not None and \
-                    len(self._live_keys()) >= self.max_entries:
-                os.remove(tmp)
-                with self._lock:
-                    self.dropped += 1
-                return False
-            os.replace(tmp, path)
-        self._journal_append({"key": key, "model": model_name,
-                              "score": float(score)})
+        outcome = self._store.publish(
+            self.key(example),
+            {"image": np.asarray(example, dtype=np.float32),
+             "score": np.float64(score)},
+            fields={"model": model_name, "score": float(score)},
+            limit=self.max_entries)
         with self._lock:
-            self.stored += 1
-        return True
+            if outcome == PUBLISHED:
+                self.stored += 1
+            elif outcome == EXISTS:
+                self.duplicates += 1
+            else:
+                self.dropped += 1
+        return outcome == PUBLISHED
 
     # ------------------------------------------------------------------ #
     # consumption (the fine-tune side)
@@ -214,35 +159,35 @@ class QuarantineStore(FlagSink):
         Returns ``(images, scores)``; the ordering is a pure function of
         the stored *set* — arrival order, thread interleaving and worker
         count all wash out, which is what lets two identical serving
-        runs fine-tune bit-identically.  Torn entries are skipped.
+        runs fine-tune bit-identically.  A torn entry is removed from
+        the store, so :meth:`fingerprint` and ``len`` afterwards cover
+        exactly the rows returned.
         """
-        images: List[np.ndarray] = []
-        scores: List[float] = []
-        for key in sorted(self._live_keys()):
-            try:
-                with np.load(self._path(key)) as archive:
-                    images.append(np.array(archive["image"],
-                                           dtype=np.float32))
-                    scores.append(float(archive["score"]))
-            except Exception:
-                continue
-        if not images:
+        rows = [self._store.load(key, _read_example)
+                for key in sorted(self._store.keys())]
+        rows = [row for row in rows if row is not None]
+        if not rows:
             return (np.empty((0, 0, 0, 0), dtype=np.float32),
                     np.empty((0,), dtype=np.float64))
+        images, scores = zip(*rows)
         return (np.stack(images).astype(np.float32, copy=False),
                 np.asarray(scores, dtype=np.float64))
 
     def manifest(self) -> List[Dict]:
-        """The journal's arrival records (provenance; may contain
-        entries for keys since dropped by hand)."""
-        return list(self._journal_records())
+        """Each live entry's arrival record (provenance), oldest first."""
+        return self._store.records()
 
     def fingerprint(self) -> str:
         """Content hash of the stored *set* (fine-tune provenance)."""
         h = hashlib.sha256()
-        for key in sorted(self._live_keys()):
+        for key in sorted(self._store.keys()):
             h.update(key.encode("utf-8"))
         return h.hexdigest()
 
     def __len__(self) -> int:
-        return len(self._live_keys())
+        return len(self._store)
+
+
+def _read_example(archive) -> Tuple[np.ndarray, float]:
+    return (np.array(archive["image"], dtype=np.float32),
+            float(archive["score"]))

@@ -1,7 +1,5 @@
 """Adversarial cache correctness: bit-identical replay, key invalidation."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from repro.eval.cache import (
     fingerprint_data,
     fingerprint_model,
 )
+from repro.utils.store import DirectoryStore
 from tests.conftest import TinyNet, make_blobs_dataset
 
 
@@ -272,19 +271,6 @@ class TestRecencyJournal:
         # not a resurrection of stale recency.
         assert one.get_or_generate(a, model, x, y)[1] is True
 
-    def test_torn_journal_line_is_skipped(self, setup, tmp_path):
-        model, x, y = setup
-        root = tmp_path / "adv"
-        cache = AdversarialCache(root, max_bytes=1 << 30)
-        for attack in self.attacks(2):
-            cache.get_or_generate(attack, model, x, y)
-        with open(root / AdversarialCache.JOURNAL_NAME, "a") as handle:
-            handle.write('{"key": "tru')    # crash mid-append
-        reopened = AdversarialCache(root, max_bytes=1 << 30)
-        assert len(reopened._lru) == 2
-        assert reopened.get_or_generate(self.attacks(1)[0],
-                                        model, x, y)[1] is True
-
     def test_unjournaled_entries_rank_oldest(self, setup, tmp_path):
         """Files that predate the journal (legacy caches) are adopted as
         least-recent and evict first."""
@@ -305,18 +291,18 @@ class TestRecencyJournal:
                                         monkeypatch):
         model, x, y = setup
         root = tmp_path / "adv"
-        monkeypatch.setattr(AdversarialCache, "COMPACT_THRESHOLD", 4)
+        monkeypatch.setattr(DirectoryStore, "COMPACT_THRESHOLD", 4)
         cache = AdversarialCache(root, max_bytes=1 << 30)
         attacks = self.attacks(3)
         for attack in attacks:
             cache.get_or_generate(attack, model, x, y)
-        for _ in range(5):                  # touches pile up journal lines
+        for _ in range(4):                  # the 7th journal line compacts
             cache.get_or_generate(attacks[0], model, x, y)
-        reopened = AdversarialCache(root, max_bytes=1 << 30)  # compacts
+        reopened = AdversarialCache(root, max_bytes=1 << 30)
         lines = (root / AdversarialCache.JOURNAL_NAME) \
             .read_text().strip().splitlines()
         assert len(lines) == 3              # one record per live key
-        assert list(reopened._lru) == list(cache._lru)
+        assert reopened._store.keys() == cache._store.keys()
 
     def test_spec_roundtrip(self, tmp_path):
         cache = AdversarialCache(tmp_path / "adv", max_bytes=123)
@@ -345,33 +331,24 @@ class TestStorageHygiene:
         leftovers = [f for f in root.iterdir() if ".tmp" in f.name]
         assert leftovers == []
 
-    def test_same_key_stores_from_two_threads_never_collide(self, tmp_path):
-        # Two instances over one directory (two engines in one process)
-        # storing the same key from two threads: a per-pid temp name is
-        # shared by both, so one thread's rename yanks the other's file.
-        root = tmp_path / "adv"
-        caches = [AdversarialCache(root, keep_in_memory=False)
-                  for _ in range(2)]
+    def test_non_torn_load_error_keeps_entry(self, tmp_path, monkeypatch):
+        """An error a sound file can raise (concurrent ``np.load`` on
+        CPython 3.11 sometimes fails parsing the ``.npy`` header with
+        SystemError) is a miss, not a torn entry to delete."""
+        cache = AdversarialCache(tmp_path / "adv", keep_in_memory=False)
         adv = np.linspace(-1, 1, 64, dtype=np.float32).reshape(4, 16)
         key = "0" * 64
-        barrier = threading.Barrier(2)
-        errors = []
+        cache.store(key, adv)
+        real_load = np.load
+        calls = []
 
-        def worker(cache):
-            try:
-                barrier.wait()
-                for _ in range(100):
-                    cache.store(key, adv)
-            except Exception as error:  # surfaced to the main thread
-                errors.append(error)
+        def flaky_load(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SystemError("AST constructor recursion depth mismatch")
+            return real_load(*args, **kwargs)
 
-        threads = [threading.Thread(target=worker, args=(c,), daemon=True)
-                   for c in caches]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30.0)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        np.testing.assert_array_equal(caches[0].load(key), adv)
-        assert [f for f in root.iterdir() if ".tmp" in f.name] == []
+        monkeypatch.setattr(np, "load", flaky_load)
+        assert cache.load(key) is None
+        assert len(cache) == 1
+        np.testing.assert_array_equal(cache.load(key), adv)

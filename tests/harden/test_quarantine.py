@@ -73,15 +73,20 @@ def test_two_stores_share_one_directory(tmp_path, images):
     assert len(x) == 3
 
 
-def test_journal_survives_torn_writes(tmp_path, images):
+def test_torn_entry_leaves_fine_tune_provenance_exact(tmp_path, images):
+    """``fine_tune`` records ``fingerprint()`` and the row count next to
+    the rows ``examples()`` returned: a torn entry must drop out of all
+    three, not just the rows."""
     store = QuarantineStore(tmp_path / "q")
-    store.submit("m", images[:2], np.array([0.9, 0.8]))
-    journal = os.path.join(store.root, QuarantineStore.JOURNAL_NAME)
-    with open(journal, "a", encoding="utf-8") as handle:
-        handle.write('{"key": "tor')        # a crash mid-append
-    assert len(store.manifest()) == 2       # torn line skipped
-    x, _ = QuarantineStore(tmp_path / "q").examples()
-    assert len(x) == 2
+    store.submit("m", images[:3], np.array([0.9, 0.8, 0.7]))
+    torn = os.path.join(store.root, QuarantineStore.key(images[2]) + ".npz")
+    with open(torn, "wb") as handle:
+        handle.write(b"torn")               # crashed writer stand-in
+    x, _ = store.examples()
+    assert len(x) == 2 and len(store) == 2
+    good = QuarantineStore(tmp_path / "good")
+    good.submit("m", images[:2], np.array([0.9, 0.8]))
+    assert store.fingerprint() == good.fingerprint()
 
 
 def test_journal_records_provenance(tmp_path, images):

@@ -178,3 +178,49 @@ class TestSharedDiskCacheThreads:
         served = cache.lookup("fp", examples)
         assert [p.label for p in served] == \
             [prediction_for(i).label for i in range(self.EXAMPLES)]
+
+    def test_loads_take_turns(self, tmp_path, monkeypatch):
+        """``np.load`` parses each ``.npy`` header with
+        ``ast.literal_eval``, which on CPython 3.11 sometimes raises
+        SystemError when threads parse at once: one instance's lookups
+        from four threads must never be inside ``np.load`` together."""
+        cache = DiskPredictionCache(tmp_path / "preds", max_entries=None)
+        examples = make_examples(self.EXAMPLES, seed=3)
+        for i, example in enumerate(examples):
+            cache.store("fp", example, prediction_for(i))
+        real_load = np.load
+        guard = threading.Lock()
+        inside = [0]
+        peak = [0]
+
+        def counting_load(*args, **kwargs):
+            with guard:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            try:
+                time.sleep(0.001)       # widen the overlap window
+                return real_load(*args, **kwargs)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(np, "load", counting_load)
+        barrier = threading.Barrier(self.THREADS)
+        served = []
+
+        def worker():
+            barrier.wait()
+            for _ in range(5):
+                served.extend(cache.lookup("fp", examples))
+
+        threads = [threading.Thread(target=worker, daemon=True)
+                   for _ in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + self.DEADLINE_S
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        assert not any(t.is_alive() for t in threads)
+        assert len(served) == self.THREADS * 5 * self.EXAMPLES
+        assert all(p is not None for p in served)
+        assert peak[0] == 1
